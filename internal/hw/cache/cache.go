@@ -165,7 +165,9 @@ func (c *Cache) Tag(lineNum uint64) uint64 {
 	return lineNum >> uint(log2(c.cfg.Sets))
 }
 
-// AccessResult describes the outcome of a cache access.
+// AccessResult describes the outcome of a cache access. It is returned
+// on every simulated memory access, so it keeps to the shape the Go
+// compiler can hold in registers (see TestAccessResultShape).
 type AccessResult struct {
 	// Hit is true if the line was present.
 	Hit bool
@@ -173,12 +175,16 @@ type AccessResult struct {
 	Evicted bool
 	// WritebackVictim is true if a dirty line was evicted to make room.
 	WritebackVictim bool
+	// Victim identifies the displaced line.
+	Victim
+}
+
+// Victim identifies the line a fill displaced.
+type Victim struct {
 	// VictimOwner is the owner of the evicted line, if any.
 	VictimOwner hw.DomainID
 	// VictimTag is the tag of the evicted line, if any.
 	VictimTag uint64
-	// Set is the set index that was accessed.
-	Set int
 }
 
 // Access looks up the line identified by (set, tag); on a miss it fills
@@ -186,7 +192,7 @@ type AccessResult struct {
 // attributes the fill. The returned result says whether it hit and whether
 // a dirty victim needs writing back.
 func (c *Cache) Access(set int, tag uint64, write bool, owner hw.DomainID) AccessResult {
-	res := AccessResult{Set: set}
+	var res AccessResult
 	base := set * c.cfg.Ways
 	c.clock++
 	// Hit path.
@@ -235,7 +241,9 @@ func (c *Cache) Access(set int, tag uint64, write bool, owner hw.DomainID) Acces
 	} else {
 		res.VictimOwner = hw.NoOwner
 	}
-	*ln = line{valid: true, tag: tag, dirty: write, owner: owner, lru: c.clock}
+	// Field by field: a composite literal is built on the stack and
+	// copied with wide loads that stall on the narrow stores before them.
+	ln.valid, ln.tag, ln.dirty, ln.owner, ln.lru = true, tag, write, owner, c.clock
 	return res
 }
 

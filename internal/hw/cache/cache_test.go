@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"timeprot/internal/hw"
 	"timeprot/internal/rng"
@@ -243,10 +245,10 @@ func TestFlushDirtyCountMatchesWrites(t *testing.T) {
 				written[key] = true
 			}
 			if res.WritebackVictim {
-				delete(written, [2]uint64{uint64(res.Set), res.VictimTag})
+				delete(written, [2]uint64{uint64(set), res.VictimTag})
 			} else if !res.Hit && res.VictimOwner != hw.NoOwner {
 				// clean eviction
-				delete(written, [2]uint64{uint64(res.Set), res.VictimTag})
+				delete(written, [2]uint64{uint64(set), res.VictimTag})
 			}
 		}
 		return c.FlushAll() == len(written)
@@ -256,6 +258,23 @@ func TestFlushDirtyCountMatchesWrites(t *testing.T) {
 	}
 }
 
+// TestAccessResultShape pins AccessResult to what the Go compiler keeps
+// in registers: a struct of at most 4 fields (recursively) and at most 4
+// words (ssa.MaxStruct and ssagen.TypeOK). A larger result is spilled to
+// the stack on every access, and the byte-sized stores of its flags then
+// stall the wide loads that copy it out.
+func TestAccessResultShape(t *testing.T) {
+	var r AccessResult
+	if n := reflect.TypeOf(r).NumField(); n > 4 {
+		t.Errorf("AccessResult has %d fields, want <= 4", n)
+	}
+	if sz := unsafe.Sizeof(r); sz > 32 {
+		t.Errorf("AccessResult is %d bytes, want <= 32", sz)
+	}
+}
+
+// BenchmarkCacheAccess passes full line numbers as tags, as the CPU
+// model does.
 func BenchmarkCacheAccess(b *testing.B) {
 	c := New(Config{Name: "LLC", Sets: 4096, Ways: 16, Indexing: PhysIndexed})
 	r := rng.New(1)
@@ -263,9 +282,10 @@ func BenchmarkCacheAccess(b *testing.B) {
 	for i := range addrs {
 		addrs[i] = r.Uint64n(1 << 22)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ln := addrs[i%len(addrs)]
-		c.Access(c.SetIndex(ln), c.Tag(ln), i%7 == 0, 1)
+		c.Access(c.SetIndex(ln), ln, i%7 == 0, 1)
 	}
 }

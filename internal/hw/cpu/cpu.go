@@ -209,18 +209,26 @@ func (k AccessKind) String() string {
 }
 
 // AccessInfo reports where an access was satisfied, for traces and tests.
+// It is returned on every simulated access, so it keeps to the shape the
+// Go compiler can hold in registers (see TestAccessInfoShape).
 type AccessInfo struct {
 	// Cycles is the total latency of the access.
 	Cycles uint64
-	// Level is 1, 2, 3 (LLC) or 4 (memory).
-	Level int
-	// TLBMiss is true if a page walk was needed.
-	TLBMiss bool
 	// PA is the translated physical address.
 	PA hw.PAddr
+	// Where says which level satisfied the access.
+	Where
+}
+
+// Where locates an access in the hierarchy.
+type Where struct {
 	// LLCSet is the LLC set touched if the access reached the LLC
 	// (level >= 3), else -1.
-	LLCSet int
+	LLCSet int32
+	// Level is 1, 2, 3 (LLC) or 4 (memory).
+	Level int8
+	// TLBMiss is true if a page walk was needed.
+	TLBMiss bool
 }
 
 // Fault is returned when a virtual address has no translation.
@@ -259,7 +267,7 @@ func (c *Core) Translate(asid tlb.ASID, pt *mem.PageTable, va hw.Addr) (pa hw.PA
 func (c *Core) Access(asid tlb.ASID, pt *mem.PageTable, va hw.Addr, kind AccessKind, owner hw.DomainID) (AccessInfo, error) {
 	pa, tcyc, tmiss, err := c.Translate(asid, pt, va)
 	if err != nil {
-		return AccessInfo{Cycles: tcyc, TLBMiss: tmiss, LLCSet: -1}, err
+		return AccessInfo{Cycles: tcyc, Where: Where{LLCSet: -1, TLBMiss: tmiss}}, err
 	}
 	info := c.accessPA(va, pa, kind, owner)
 	info.TLBMiss = tmiss
@@ -285,7 +293,7 @@ func (c *Core) Access(asid tlb.ASID, pt *mem.PageTable, va hw.Addr, kind AccessK
 // access. Tags are full physical line numbers so victims can be written
 // back precisely.
 func (c *Core) accessPA(va hw.Addr, pa hw.PAddr, kind AccessKind, owner hw.DomainID) AccessInfo {
-	lat := c.un.Lat
+	lat := &c.un.Lat
 	paLine := hw.LineIndex(pa)
 	vaLine := hw.VLineIndex(va)
 	write := kind == DataWrite
@@ -295,7 +303,7 @@ func (c *Core) accessPA(va hw.Addr, pa hw.PAddr, kind AccessKind, owner hw.Domai
 		l1 = c.L1I
 	}
 
-	info := AccessInfo{LLCSet: -1}
+	info := AccessInfo{Where: Where{LLCSet: -1}}
 	// L1: virtually indexed, physically tagged.
 	l1Set := l1.SetIndex(vaLine)
 	res := l1.Access(l1Set, paLine, write, owner)
@@ -332,7 +340,7 @@ func (c *Core) accessPA(va hw.Addr, pa hw.PAddr, kind AccessKind, owner hw.Domai
 	llcSet := c.un.LLC.SetIndex(paLine)
 	res = c.un.LLC.Access(llcSet, paLine, false, owner)
 	info.Cycles += lat.LLCHit
-	info.LLCSet = llcSet
+	info.LLCSet = int32(llcSet)
 	if c.Cov != nil {
 		c.Cov.Touch(cover.ClassLLC, uint64(llcSet))
 	}
@@ -377,7 +385,7 @@ func (c *Core) busAccess(offset uint64) uint64 {
 }
 
 // covLevel records the demand-miss depth an access bottomed out at.
-func (c *Core) covLevel(kind AccessKind, level int) {
+func (c *Core) covLevel(kind AccessKind, level int8) {
 	if c.Cov != nil {
 		c.Cov.Touch(cover.ClassLevel, uint64(kind)<<8|uint64(level))
 	}
@@ -439,7 +447,7 @@ type FlushReport struct {
 // returned report carries the history-dependent latency.
 func (c *Core) FlushCoreState() FlushReport {
 	var rep FlushReport
-	lat := c.un.Lat
+	lat := &c.un.Lat
 
 	// Write back dirty L1D and L2 contents before invalidating. The
 	// write-backs land in the owning domain's frames, so attribution

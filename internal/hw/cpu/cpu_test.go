@@ -2,7 +2,9 @@ package cpu
 
 import (
 	"errors"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"timeprot/internal/hw"
 	"timeprot/internal/hw/cache"
@@ -11,7 +13,17 @@ import (
 )
 
 // testRig builds a single-core machine with a 64-colour LLC.
-func testRig(t *testing.T) (*Core, *mem.PageTable, *mem.Allocator) {
+func testRig(t testing.TB) (*Core, *mem.PageTable, *mem.Allocator) {
+	t.Helper()
+	return rig(t, DefaultConfig(0), 64)
+}
+
+// llcLines is the capacity in lines of the rig's 4096-set 16-way LLC.
+const llcLines = 4096 * 16
+
+// rig builds a single-core machine with a 4 MiB, 64-colour LLC and maps
+// pages pages for domain 1 from virtual page 0 up.
+func rig(t testing.TB, cfg Config, pages int) (*Core, *mem.PageTable, *mem.Allocator) {
 	t.Helper()
 	un := &Uncore{
 		LLC: cache.New(cache.Config{Name: "LLC", Sets: 4096, Ways: 16, Indexing: cache.PhysIndexed}),
@@ -19,11 +31,10 @@ func testRig(t *testing.T) (*Core, *mem.PageTable, *mem.Allocator) {
 		Mem: mem.NewPhysMem(8192, 64),
 		Lat: hw.DefaultLatency(),
 	}
-	c := New(DefaultConfig(0), un)
+	c := New(cfg, un)
 	alloc := mem.NewAllocator(un.Mem)
 	pt := mem.NewPageTable(1)
-	// Identity-ish mapping: 64 pages for domain 1.
-	pfns, err := alloc.AllocN(1, nil, 64)
+	pfns, err := alloc.AllocN(1, nil, pages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,6 +42,62 @@ func testRig(t *testing.T) (*Core, *mem.PageTable, *mem.Allocator) {
 		pt.Map(uint64(i), mem.PTE{PFN: pfn, Writable: true})
 	}
 	return c, pt, alloc
+}
+
+// TestAccessInfoShape pins AccessInfo to what the Go compiler keeps in
+// registers: a struct of at most 4 fields (recursively) and at most 4
+// words (ssa.MaxStruct and ssagen.TypeOK). A larger result is spilled to
+// the stack on every access, and the byte-sized stores of its flags then
+// stall the wide loads that copy it out.
+func TestAccessInfoShape(t *testing.T) {
+	var info AccessInfo
+	if n := reflect.TypeOf(info).NumField(); n > 4 {
+		t.Errorf("AccessInfo has %d fields, want <= 4", n)
+	}
+	if sz := unsafe.Sizeof(info); sz > 32 {
+		t.Errorf("AccessInfo is %d bytes, want <= 32", sz)
+	}
+}
+
+// BenchmarkCoreAccess times one demand load through the hardware model:
+// L1Hit re-reads one line; Memory walks a footprint twice the LLC's
+// size line by line, so under LRU every access misses every cache level
+// (the prefetcher is off so it cannot turn misses into hits).
+func BenchmarkCoreAccess(b *testing.B) {
+	b.Run("L1Hit", func(b *testing.B) {
+		c, pt, _ := testRig(b)
+		benchAccess(b, c, pt, func(int) hw.Addr { return 0x100 }, 1)
+	})
+	b.Run("Memory", func(b *testing.B) {
+		cfg := DefaultConfig(0)
+		cfg.PrefetchThreshold = 0
+		const pages = 2 * llcLines / hw.LinesPerPage
+		c, pt, _ := rig(b, cfg, pages)
+		lines := pages * hw.LinesPerPage
+		benchAccess(b, c, pt, func(i int) hw.Addr { return hw.Addr(i%lines) << hw.LineBits }, 4)
+	})
+}
+
+// benchAccess times c.Access over addr(0), addr(1), ... after one
+// untimed pass that checks every access lands at level want.
+func benchAccess(b *testing.B, c *Core, pt *mem.PageTable, addr func(int) hw.Addr, want int8) {
+	b.Helper()
+	for i := 0; i < 2*llcLines; i++ {
+		info, err := c.Access(1, pt, addr(i), DataRead, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Clock.Advance(info.Cycles)
+		if i >= llcLines && info.Level != want {
+			b.Fatalf("access %d satisfied at level %d, want %d", i, info.Level, want)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		info, _ := c.Access(1, pt, addr(i), DataRead, 1)
+		c.Clock.Advance(info.Cycles)
+	}
 }
 
 func TestColdMissCostsThroughMemory(t *testing.T) {

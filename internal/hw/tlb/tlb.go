@@ -84,7 +84,8 @@ func (t *TLB) Lookup(asid ASID, vpn uint64) (pfn uint64, hit bool) {
 	t.clock++
 	for i := range t.entries {
 		e := &t.entries[i]
-		if e.valid && e.VPN == vpn && (e.Global || e.ASID == asid) {
+		// VPN first: it rejects almost every entry on the first load.
+		if e.VPN == vpn && e.valid && (e.Global || e.ASID == asid) {
 			e.lru = t.clock
 			t.stats.Hits++
 			return e.PFN, true

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"timeprot/internal/experiment"
 	"timeprot/internal/experiment/store"
 )
 
@@ -146,5 +148,42 @@ func TestContractStreamReplay(t *testing.T) {
 	replay := do(t, "GET", base+"/v1/jobs/j1/stream", "", http.StatusOK)
 	if !bytes.Equal(live, replay) {
 		t.Fatalf("replayed stream differs from live stream:\n--- live ---\n%s\n--- replay ---\n%s", live, replay)
+	}
+}
+
+// TestSubmitAfterClose: once Close has begun, Submit returns
+// ErrShuttingDown and the HTTP surface answers 503.
+func TestSubmitAfterClose(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(st, Config{Workers: 1})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spec := `{"Scenarios":["T4"],"Rounds":20,"Seeds":[11]}`
+	b := do(t, "POST", hs.URL+"/v1/jobs", `{"kind":"sweep","sweep":`+spec+`}`, http.StatusServiceUnavailable)
+	if !bytes.Contains(b, []byte(ErrShuttingDown.Error())) {
+		t.Fatalf("503 body does not name the shutdown:\n%s", b)
+	}
+	sweep := &experiment.Spec{Scenarios: []string{"T4"}, Rounds: 20, Seeds: []uint64{11}}
+	if _, err := srv.Submit(SubmitRequest{Kind: KindSweep, Sweep: sweep}); !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("Submit after Close: %v, want ErrShuttingDown", err)
+	}
+}
+
+// TestOversizedSubmit: a body over MaxSubmitBytes is refused with 413
+// without being decoded, even when its first MaxSubmitBytes hold a
+// valid request, and mints no job.
+func TestOversizedSubmit(t *testing.T) {
+	base := contractServer(t)
+	req := `{"kind":"sweep","sweep":{"Scenarios":["T4"],"Rounds":20,"Seeds":[11]}}`
+	do(t, "POST", base+"/v1/jobs", req+strings.Repeat(" ", MaxSubmitBytes), http.StatusRequestEntityTooLarge)
+	b := do(t, "POST", base+"/v1/jobs", req, http.StatusAccepted)
+	if !bytes.Contains(b, []byte(`"id": "j1"`)) {
+		t.Fatalf("the refused body minted a job:\n%s", b)
 	}
 }

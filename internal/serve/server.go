@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -14,6 +16,19 @@ import (
 	"timeprot/internal/experiment"
 	"timeprot/internal/experiment/store"
 )
+
+// ErrShuttingDown is returned by Submit once Close has begun; the HTTP
+// surface answers it with 503 Service Unavailable.
+var ErrShuttingDown = errors.New("server is shutting down")
+
+// MaxSubmitBytes caps a submit request body. Specs are a few hundred
+// bytes; a larger body is refused with 413 before it is decoded.
+const MaxSubmitBytes = 1 << 20
+
+// ReadHeaderTimeout is the header read deadline for an http.Server
+// serving Handler, so a client that never finishes its headers cannot
+// hold a connection open indefinitely.
+const ReadHeaderTimeout = 10 * time.Second
 
 // Config tunes a Server. The zero value is usable: GOMAXPROCS workers
 // and the wall clock.
@@ -210,7 +225,7 @@ func (s *Server) Submit(req SubmitRequest) (*Job, error) {
 	s.closeMu.Lock()
 	if s.closed {
 		s.closeMu.Unlock()
-		return nil, fmt.Errorf("server is shutting down")
+		return nil, ErrShuttingDown
 	}
 	j := s.reg.add(s.ctx, req, s.now())
 	j.shard = ex.shard
@@ -330,8 +345,18 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxSubmitBytes))
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, "bad request body: %v", err)
+		return
+	}
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
@@ -340,7 +365,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j, err := s.Submit(req)
 	if err != nil {
 		code := http.StatusBadRequest
-		if err.Error() == "server is shutting down" {
+		if errors.Is(err, ErrShuttingDown) {
 			code = http.StatusServiceUnavailable
 		}
 		writeErr(w, code, "%v", err)
