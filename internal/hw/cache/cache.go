@@ -16,6 +16,8 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"timeprot/internal/hw"
 )
@@ -64,8 +66,8 @@ func (c Config) Validate() error {
 	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
 		return fmt.Errorf("cache %s: Sets must be a positive power of two, got %d", c.Name, c.Sets)
 	}
-	if c.Ways <= 0 {
-		return fmt.Errorf("cache %s: Ways must be positive, got %d", c.Name, c.Ways)
+	if c.Ways <= 0 || c.Ways > 64 {
+		return fmt.Errorf("cache %s: Ways must be in [1,64] (the width of a way mask), got %d", c.Name, c.Ways)
 	}
 	return nil
 }
@@ -85,17 +87,6 @@ func (c Config) Colors() int {
 	return colors
 }
 
-// line is one cache line's bookkeeping.
-type line struct {
-	valid bool
-	tag   uint64
-	dirty bool
-	owner hw.DomainID
-	// lru is a monotonically increasing use stamp; the smallest stamp
-	// in a set is the LRU victim.
-	lru uint64
-}
-
 // Stats accumulates access statistics.
 type Stats struct {
 	Hits         uint64
@@ -108,9 +99,22 @@ type Stats struct {
 
 // Cache is a set-associative cache. It is not safe for concurrent use;
 // the simulator serialises all hardware access through its event loop.
+//
+// Line state is kept as one valid and one dirty way mask per set, with
+// tags, LRU stamps and owners in flat arrays indexed set*ways+way. The
+// tag, LRU stamp and owner of an invalid way are never read, so
+// invalidating a line or the whole cache only clears mask bits. The
+// dirty mask is always a subset of the valid mask.
 type Cache struct {
 	cfg   Config
-	sets  []line // flattened [set*ways + way]
+	full  uint64   // way mask with all Ways bits set
+	valid []uint64 // [set] way mask of valid lines
+	dirty []uint64 // [set] way mask of dirty lines
+	tags  []uint64 // [set*ways + way]
+	// lru holds monotonically increasing use stamps; the smallest
+	// stamp among a set's valid ways is the LRU victim.
+	lru   []uint64
+	owner []hw.DomainID
 	clock uint64 // LRU stamp source
 	stats Stats
 }
@@ -122,14 +126,16 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{
-		cfg:  cfg,
-		sets: make([]line, cfg.Sets*cfg.Ways),
+	n := cfg.Sets * cfg.Ways
+	return &Cache{
+		cfg:   cfg,
+		full:  ^uint64(0) >> uint(64-cfg.Ways),
+		valid: make([]uint64, cfg.Sets),
+		dirty: make([]uint64, cfg.Sets),
+		tags:  make([]uint64, n),
+		lru:   make([]uint64, n),
+		owner: make([]hw.DomainID, n),
 	}
-	for i := range c.sets {
-		c.sets[i].owner = hw.NoOwner
-	}
-	return c
 }
 
 // Config returns the cache's geometry.
@@ -142,13 +148,13 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Reset restores the cache to its freshly constructed state: every line
-// invalid and unowned, the LRU clock and all statistics zero. It exists
-// for machine pooling — a Reset cache is indistinguishable from New(cfg),
-// so reusing one across experiment cells cannot change a measurement.
+// invalid, the LRU clock and all statistics zero. It exists for machine
+// pooling — a Reset cache is indistinguishable from New(cfg), so reusing
+// one across experiment cells cannot change a measurement. Only the way
+// masks are cleared: the fields of an invalid way are never read.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		c.sets[i] = line{owner: hw.NoOwner}
-	}
+	clear(c.valid)
+	clear(c.dirty)
 	c.clock = 0
 	c.stats = Stats{}
 }
@@ -158,11 +164,6 @@ func (c *Cache) Reset() {
 // came from a virtual or physical address according to cfg.Indexing.
 func (c *Cache) SetIndex(lineNum uint64) int {
 	return int(lineNum & uint64(c.cfg.Sets-1))
-}
-
-// Tag computes the tag for a global line number.
-func (c *Cache) Tag(lineNum uint64) uint64 {
-	return lineNum >> uint(log2(c.cfg.Sets))
 }
 
 // AccessResult describes the outcome of a cache access. It is returned
@@ -192,59 +193,88 @@ type Victim struct {
 // attributes the fill. The returned result says whether it hit and whether
 // a dirty victim needs writing back.
 func (c *Cache) Access(set int, tag uint64, write bool, owner hw.DomainID) AccessResult {
-	var res AccessResult
-	base := set * c.cfg.Ways
+	ways := c.cfg.Ways
+	base := set * ways
+	valid := c.valid[set]
 	c.clock++
-	// Hit path.
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.sets[base+w]
-		if ln.valid && ln.tag == tag {
-			ln.lru = c.clock
+	// Hit path: scan the set's tags, then check the valid bit. The loop
+	// repeats find's rather than calling it, which measured slower on
+	// BenchmarkCacheAccess even inlined. Ownership is left unchanged: a
+	// hit by another domain on a shared line (e.g. shared kernel text)
+	// is precisely the sharing the paper warns about; keeping the
+	// original owner lets the partition checker see the cross-domain hit.
+	for w := 0; w < ways; w++ {
+		if c.tags[base+w] == tag && valid&wayBit(w) != 0 {
+			c.lru[base+w] = c.clock
 			if write {
-				ln.dirty = true
+				c.dirty[set] |= wayBit(w)
 			}
-			// Ownership follows the most recent accessor: a hit
-			// by another domain on a shared line (e.g. shared
-			// kernel text) is precisely the sharing the paper
-			// warns about; keep the original owner so the
-			// partition checker can see the cross-domain hit.
-			res.Hit = true
 			c.stats.Hits++
-			return res
+			return AccessResult{Hit: true}
 		}
 	}
-	// Miss: fill, choosing an invalid way or the LRU victim.
+	return c.fill(set, tag, write, owner)
+}
+
+// wayBit returns way w's bit in a way mask. Masking the shift count
+// tells the compiler it is below 64, which drops the over-shift guard.
+func wayBit(w int) uint64 { return 1 << (uint(w) & 63) }
+
+// fill handles a miss: it fills the first invalid way, or else the first
+// way with the smallest LRU stamp. It is kept out of Access so that the
+// hit loop's registers are not spilled around it.
+func (c *Cache) fill(set int, tag uint64, write bool, owner hw.DomainID) AccessResult {
+	var res AccessResult
 	c.stats.Misses++
-	victim := -1
-	var oldest uint64 = ^uint64(0)
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.sets[base+w]
-		if !ln.valid {
-			victim = w
-			break
+	ways := c.cfg.Ways
+	base := set * ways
+	tags := c.tags[base : base+ways]
+	lru := c.lru[base : base+ways]
+	owners := c.owner[base : base+ways]
+	valid, dirty := c.valid[set], c.dirty[set]
+	var victim int
+	if free := ^valid & c.full; free != 0 {
+		victim = bits.TrailingZeros64(free)
+		res.VictimOwner = hw.NoOwner
+	} else {
+		oldest := lru[0]
+		for w := 1; w < len(lru); w++ {
+			if lru[w] < oldest {
+				oldest, victim = lru[w], w
+			}
 		}
-		if ln.lru < oldest {
-			oldest = ln.lru
-			victim = w
-		}
-	}
-	ln := &c.sets[base+victim]
-	if ln.valid {
 		c.stats.Evictions++
 		res.Evicted = true
-		if ln.dirty {
+		if dirty&wayBit(victim) != 0 {
 			c.stats.Writebacks++
 			res.WritebackVictim = true
 		}
-		res.VictimOwner = ln.owner
-		res.VictimTag = ln.tag
-	} else {
-		res.VictimOwner = hw.NoOwner
+		res.VictimOwner = owners[victim]
+		res.VictimTag = tags[victim]
 	}
-	// Field by field: a composite literal is built on the stack and
-	// copied with wide loads that stall on the narrow stores before them.
-	ln.valid, ln.tag, ln.dirty, ln.owner, ln.lru = true, tag, write, owner, c.clock
+	bit := wayBit(victim)
+	c.valid[set] = valid | bit
+	if write {
+		c.dirty[set] = dirty | bit
+	} else {
+		c.dirty[set] = dirty &^ bit
+	}
+	tags[victim], lru[victim], owners[victim] = tag, c.clock, owner
 	return res
+}
+
+// find returns the way holding the valid line (set, tag), or -1. It
+// scans the set's tags and checks the valid bit only on a tag match.
+func (c *Cache) find(set int, tag uint64) int {
+	ways := c.cfg.Ways
+	base := set * ways
+	valid := c.valid[set]
+	for w := 0; w < ways; w++ {
+		if c.tags[base+w] == tag && valid&wayBit(w) != 0 {
+			return w
+		}
+	}
+	return -1
 }
 
 // Invalidate drops the line (set, tag) if present, reporting whether it
@@ -252,43 +282,30 @@ func (c *Cache) Access(set int, tag uint64, write bool, owner hw.DomainID) Acces
 // inclusive LLC performs on its private caches when it evicts a line —
 // the mechanism that makes cross-core LLC prime-and-probe observable.
 func (c *Cache) Invalidate(set int, tag uint64) (found, dirty bool) {
-	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.sets[base+w]
-		if ln.valid && ln.tag == tag {
-			found, dirty = true, ln.dirty
-			*ln = line{owner: hw.NoOwner}
-			return found, dirty
-		}
+	w := c.find(set, tag)
+	if w < 0 {
+		return false, false
 	}
-	return false, false
+	bit := wayBit(w)
+	dirty = c.dirty[set]&bit != 0
+	c.valid[set] &^= bit
+	c.dirty[set] &^= bit
+	return true, dirty
 }
 
 // Probe reports whether (set, tag) is present without disturbing any
 // state. Attack harnesses must NOT use this — it exists for tests and for
 // the invariant checkers.
-func (c *Cache) Probe(set int, tag uint64) bool {
-	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.sets[base+w]
-		if ln.valid && ln.tag == tag {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Probe(set int, tag uint64) bool { return c.find(set, tag) >= 0 }
 
 // FlushAll invalidates every line and returns the number of dirty lines
 // that had to be written back. The caller converts that count into flush
 // latency; the count's dependence on execution history is the secondary
 // timing channel that padding closes (§4.2).
 func (c *Cache) FlushAll() (dirty int) {
-	for i := range c.sets {
-		if c.sets[i].valid && c.sets[i].dirty {
-			dirty++
-		}
-		c.sets[i] = line{owner: hw.NoOwner}
-	}
+	dirty = c.DirtyCount()
+	clear(c.valid)
+	clear(c.dirty)
 	c.stats.Flushes++
 	c.stats.FlushedDirty += uint64(dirty)
 	return dirty
@@ -299,36 +316,25 @@ func (c *Cache) FlushAll() (dirty int) {
 // tags, so the result identifies the lines to write back on a flush.
 func (c *Cache) DirtyLines() []uint64 {
 	var out []uint64
-	for set := 0; set < c.cfg.Sets; set++ {
+	for set, m := range c.dirty {
 		base := set * c.cfg.Ways
-		for w := 0; w < c.cfg.Ways; w++ {
-			ln := &c.sets[base+w]
-			if ln.valid && ln.dirty {
-				out = append(out, ln.tag)
-			}
+		for ; m != 0; m &= m - 1 {
+			out = append(out, c.tags[base+bits.TrailingZeros64(m)])
 		}
 	}
 	return out
 }
 
 // DirtyCount returns the number of dirty lines currently held.
-func (c *Cache) DirtyCount() int {
-	n := 0
-	for i := range c.sets {
-		if c.sets[i].valid && c.sets[i].dirty {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cache) DirtyCount() int { return popCount(c.dirty) }
 
 // ValidCount returns the number of valid lines currently held.
-func (c *Cache) ValidCount() int {
+func (c *Cache) ValidCount() int { return popCount(c.valid) }
+
+func popCount(masks []uint64) int {
 	n := 0
-	for i := range c.sets {
-		if c.sets[i].valid {
-			n++
-		}
+	for _, m := range masks {
+		n += bits.OnesCount64(m)
 	}
 	return n
 }
@@ -338,12 +344,9 @@ func (c *Cache) ValidCount() int {
 func (c *Cache) OwnersInSet(set int) []hw.DomainID {
 	base := set * c.cfg.Ways
 	var owners []hw.DomainID
-	seen := make(map[hw.DomainID]bool, 4)
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.sets[base+w]
-		if ln.valid && !seen[ln.owner] {
-			seen[ln.owner] = true
-			owners = append(owners, ln.owner)
+	for m := c.valid[set]; m != 0; m &= m - 1 {
+		if o := c.owner[base+bits.TrailingZeros64(m)]; !slices.Contains(owners, o) {
+			owners = append(owners, o)
 		}
 	}
 	return owners
@@ -353,9 +356,10 @@ func (c *Cache) OwnersInSet(set int) []hw.DomainID {
 // holds across the whole cache.
 func (c *Cache) OccupancyByOwner() map[hw.DomainID]int {
 	occ := make(map[hw.DomainID]int)
-	for i := range c.sets {
-		if c.sets[i].valid {
-			occ[c.sets[i].owner]++
+	for set, m := range c.valid {
+		base := set * c.cfg.Ways
+		for ; m != 0; m &= m - 1 {
+			occ[c.owner[base+bits.TrailingZeros64(m)]]++
 		}
 	}
 	return occ
@@ -365,12 +369,4 @@ func (c *Cache) OccupancyByOwner() map[hw.DomainID]int {
 // page-offset window share a colour.
 func (c *Cache) SetColor(set int) int {
 	return set / (hw.PageSize / hw.LineSize) % c.Config().Colors()
-}
-
-func log2(n int) int {
-	k := 0
-	for 1<<uint(k) < n {
-		k++
-	}
-	return k
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -24,6 +25,8 @@ func TestConfigValidate(t *testing.T) {
 		{"zero sets", Config{Name: "c", Sets: 0, Ways: 8}, true},
 		{"non power of two", Config{Name: "c", Sets: 48, Ways: 8}, true},
 		{"zero ways", Config{Name: "c", Sets: 64, Ways: 0}, true},
+		{"64 ways", Config{Name: "c", Sets: 64, Ways: 64}, false},
+		{"wider than a way mask", Config{Name: "c", Sets: 64, Ways: 65}, true},
 		{"negative sets", Config{Name: "c", Sets: -64, Ways: 2}, true},
 	}
 	for _, tc := range cases {
@@ -149,16 +152,11 @@ func TestOwnersInSetTracksDistinctOwners(t *testing.T) {
 	}
 }
 
-func TestSetIndexTagRoundTrip(t *testing.T) {
+func TestSetIndexRange(t *testing.T) {
 	c := New(testCfg())
 	f := func(lineNum uint64) bool {
 		set := c.SetIndex(lineNum)
-		tag := c.Tag(lineNum)
-		if set < 0 || set >= c.Config().Sets {
-			return false
-		}
-		// (set, tag) must uniquely determine lineNum.
-		return uint64(set)|tag<<6 == lineNum
+		return set >= 0 && set < c.Config().Sets
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -270,6 +268,246 @@ func TestAccessResultShape(t *testing.T) {
 	}
 	if sz := unsafe.Sizeof(r); sz > 32 {
 		t.Errorf("AccessResult is %d bytes, want <= 32", sz)
+	}
+}
+
+// refCache is the original line-struct cache, kept as the reference
+// model the way-mask Cache is checked against: every line carries its
+// own valid/dirty flags, and invalidation rewrites the whole line.
+type refCache struct {
+	cfg   Config
+	sets  []refLine // flattened [set*ways + way]
+	clock uint64
+	stats Stats
+}
+
+type refLine struct {
+	valid bool
+	tag   uint64
+	dirty bool
+	owner hw.DomainID
+	lru   uint64
+}
+
+func newRef(cfg Config) *refCache {
+	c := &refCache{cfg: cfg, sets: make([]refLine, cfg.Sets*cfg.Ways)}
+	c.Reset()
+	return c
+}
+
+func (c *refCache) Reset() {
+	for i := range c.sets {
+		c.sets[i] = refLine{owner: hw.NoOwner}
+	}
+	c.clock = 0
+	c.stats = Stats{}
+}
+
+func (c *refCache) Access(set int, tag uint64, write bool, owner hw.DomainID) AccessResult {
+	var res AccessResult
+	base := set * c.cfg.Ways
+	c.clock++
+	for w := 0; w < c.cfg.Ways; w++ {
+		ln := &c.sets[base+w]
+		if ln.valid && ln.tag == tag {
+			ln.lru = c.clock
+			if write {
+				ln.dirty = true
+			}
+			res.Hit = true
+			c.stats.Hits++
+			return res
+		}
+	}
+	c.stats.Misses++
+	victim := -1
+	var oldest uint64 = ^uint64(0)
+	for w := 0; w < c.cfg.Ways; w++ {
+		ln := &c.sets[base+w]
+		if !ln.valid {
+			victim = w
+			break
+		}
+		if ln.lru < oldest {
+			oldest = ln.lru
+			victim = w
+		}
+	}
+	ln := &c.sets[base+victim]
+	if ln.valid {
+		c.stats.Evictions++
+		res.Evicted = true
+		if ln.dirty {
+			c.stats.Writebacks++
+			res.WritebackVictim = true
+		}
+		res.VictimOwner = ln.owner
+		res.VictimTag = ln.tag
+	} else {
+		res.VictimOwner = hw.NoOwner
+	}
+	*ln = refLine{valid: true, tag: tag, dirty: write, owner: owner, lru: c.clock}
+	return res
+}
+
+func (c *refCache) Invalidate(set int, tag uint64) (found, dirty bool) {
+	base := set * c.cfg.Ways
+	for w := 0; w < c.cfg.Ways; w++ {
+		ln := &c.sets[base+w]
+		if ln.valid && ln.tag == tag {
+			found, dirty = true, ln.dirty
+			*ln = refLine{owner: hw.NoOwner}
+			return found, dirty
+		}
+	}
+	return false, false
+}
+
+func (c *refCache) Probe(set int, tag uint64) bool {
+	base := set * c.cfg.Ways
+	for w := 0; w < c.cfg.Ways; w++ {
+		if ln := &c.sets[base+w]; ln.valid && ln.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) FlushAll() (dirty int) {
+	for i := range c.sets {
+		if c.sets[i].valid && c.sets[i].dirty {
+			dirty++
+		}
+		c.sets[i] = refLine{owner: hw.NoOwner}
+	}
+	c.stats.Flushes++
+	c.stats.FlushedDirty += uint64(dirty)
+	return dirty
+}
+
+func (c *refCache) DirtyLines() []uint64 {
+	var out []uint64
+	for _, ln := range c.sets {
+		if ln.valid && ln.dirty {
+			out = append(out, ln.tag)
+		}
+	}
+	return out
+}
+
+func (c *refCache) DirtyCount() int { return len(c.DirtyLines()) }
+
+func (c *refCache) ValidCount() int {
+	n := 0
+	for _, ln := range c.sets {
+		if ln.valid {
+			n++
+		}
+	}
+	return n
+}
+
+func (c *refCache) OwnersInSet(set int) []hw.DomainID {
+	base := set * c.cfg.Ways
+	var owners []hw.DomainID
+	seen := make(map[hw.DomainID]bool, 4)
+	for w := 0; w < c.cfg.Ways; w++ {
+		ln := &c.sets[base+w]
+		if ln.valid && !seen[ln.owner] {
+			seen[ln.owner] = true
+			owners = append(owners, ln.owner)
+		}
+	}
+	return owners
+}
+
+func (c *refCache) OccupancyByOwner() map[hw.DomainID]int {
+	occ := make(map[hw.DomainID]int)
+	for _, ln := range c.sets {
+		if ln.valid {
+			occ[ln.owner]++
+		}
+	}
+	return occ
+}
+
+// TestMatchesReferenceModel drives the way-mask Cache and the line-struct
+// reference model with the same long seeded operation sequences and
+// requires every result to be equal at every step. Tag spaces are a
+// little larger than the associativity, so sets fill, evict and refill
+// invalidated ways constantly.
+func TestMatchesReferenceModel(t *testing.T) {
+	geometries := []Config{
+		{Name: "direct", Sets: 8, Ways: 1},
+		{Name: "2way", Sets: 4, Ways: 2},
+		{Name: "8way", Sets: 8, Ways: 8, Indexing: VirtIndexed},
+		{Name: "16way", Sets: 4, Ways: 16},
+		{Name: "64way", Sets: 2, Ways: 64},
+	}
+	owners := []hw.DomainID{hw.KernelOwner, 0, 1, 2}
+	steps := 20000
+	if testing.Short() {
+		steps = 4000
+	}
+	for _, cfg := range geometries {
+		for seed := uint64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", cfg.Name, seed), func(t *testing.T) {
+				got, want := New(cfg), newRef(cfg)
+				r := rng.New(seed)
+				tags := uint64(cfg.Ways + 1 + cfg.Ways/2)
+				check := func(step int, op string, g, w any) {
+					t.Helper()
+					if !reflect.DeepEqual(g, w) {
+						t.Fatalf("step %d %s: got %+v, want %+v", step, op, g, w)
+					}
+				}
+				// Flushes and resets come about every few times the
+				// cache's capacity in operations, so sets fill first.
+				wipe := cfg.Sets * cfg.Ways * 4
+				var evictions, writebacks int
+				for i := 0; i < steps; i++ {
+					set := r.Intn(cfg.Sets)
+					tag := r.Uint64n(tags)
+					switch op := r.Intn(100); {
+					case r.Intn(wipe) == 0:
+						check(i, "FlushAll", got.FlushAll(), want.FlushAll())
+					case r.Intn(wipe) == 0:
+						got.Reset()
+						want.Reset()
+					case op < 70:
+						write, owner := r.Intn(3) == 0, owners[r.Intn(len(owners))]
+						res := got.Access(set, tag, write, owner)
+						check(i, "Access", res, want.Access(set, tag, write, owner))
+						if res.Evicted {
+							evictions++
+						}
+						if res.WritebackVictim {
+							writebacks++
+						}
+					case op < 80:
+						gf, gd := got.Invalidate(set, tag)
+						wf, wd := want.Invalidate(set, tag)
+						check(i, "Invalidate", [2]bool{gf, gd}, [2]bool{wf, wd})
+					case op < 88:
+						check(i, "Probe", got.Probe(set, tag), want.Probe(set, tag))
+					case op < 91:
+						check(i, "DirtyLines", got.DirtyLines(), want.DirtyLines())
+					case op < 93:
+						check(i, "DirtyCount", got.DirtyCount(), want.DirtyCount())
+					case op < 95:
+						check(i, "ValidCount", got.ValidCount(), want.ValidCount())
+					case op < 98:
+						check(i, "OwnersInSet", got.OwnersInSet(set), want.OwnersInSet(set))
+					default:
+						check(i, "OccupancyByOwner", got.OccupancyByOwner(), want.OccupancyByOwner())
+					}
+					check(i, "Stats", got.Stats(), want.stats)
+				}
+				if evictions < steps/100 || writebacks == 0 {
+					t.Fatalf("sequence too gentle: %d evictions, %d writebacks in %d steps", evictions, writebacks, steps)
+				}
+			})
+		}
 	}
 }
 

@@ -51,6 +51,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.SMTWays = 3 },
 		func(c *Config) { c.IRQLines = 0 },
 		func(c *Config) { c.LLCSets = 100 },
+		func(c *Config) { c.LLCWays = 65 }, // wider than the LLC's way mask
 		func(c *Config) { c.Lat.L1Hit = 0 },
 	}
 	for i, mutate := range bad {
@@ -116,6 +117,37 @@ func TestIRQMaskedStaysPendingAcrossMaskToggle(t *testing.T) {
 	c.SetMask(0, 0, false) // domain switch: unmask
 	if got := c.PendingUnmasked(0); got != 0 {
 		t.Fatal("pended IRQ lost across mask toggle")
+	}
+}
+
+// TestIRQPendingCount checks the pending count behind PendingUnmasked's
+// early return through repeated raises, double acks and Reset.
+func TestIRQPendingCount(t *testing.T) {
+	c := NewIRQController(4, 1)
+	for l := 0; l < 4; l++ {
+		c.SetMask(0, l, false)
+	}
+	_ = c.Program(1, 10)
+	_ = c.Program(1, 20) // already pending when it fires: not counted twice
+	_ = c.Program(3, 20)
+	c.Tick(20)
+	c.Ack(1)
+	c.Ack(1)
+	if got := c.PendingUnmasked(0); got != 3 {
+		t.Fatalf("after acking line 1: PendingUnmasked = %d, want 3", got)
+	}
+	c.Ack(3)
+	if got := c.PendingUnmasked(0); got != -1 {
+		t.Fatalf("after acking every line: PendingUnmasked = %d, want -1", got)
+	}
+	_ = c.Program(2, 30)
+	c.Tick(30)
+	c.Reset()
+	c.SetMask(0, 0, false)
+	_ = c.Program(0, 40)
+	c.Tick(40)
+	if got := c.PendingUnmasked(0); got != 0 {
+		t.Fatalf("after Reset: PendingUnmasked = %d, want 0", got)
 	}
 }
 

@@ -680,7 +680,11 @@ func (s *System) userFetch(st *cpuState, t *Thread) uint64 {
 	if err != nil {
 		panic(err) // code is always mapped at construction
 	}
-	off := uint64(t.pc-d.CodeBase()) + hw.LineSize
-	t.pc = d.CodeAddr(off)
+	// pc is line-aligned inside the code region, so one compare against
+	// its end wraps it (CodeAddr's modulo is for arbitrary offsets).
+	t.pc += hw.LineSize
+	if t.pc >= d.CodeBase()+hw.Addr(d.codePages*hw.PageSize) {
+		t.pc = d.CodeBase()
+	}
 	return info.Cycles
 }
