@@ -157,6 +157,7 @@ func BenchmarkDomainSwitch(b *testing.B) {
 // the default protected model.
 func BenchmarkBoundedNI(b *testing.B) {
 	cfg := absmodel.DefaultConfig()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		v := nonintf.CheckBounded(cfg, 1, 20, benchSeed)
 		if !v.Proved {
@@ -169,6 +170,7 @@ func BenchmarkBoundedNI(b *testing.B) {
 func BenchmarkUnwindingLemmas(b *testing.B) {
 	cfg := absmodel.DefaultConfig()
 	m := absmodel.NewMachine(cfg, absmodel.SampleFuncs(benchSeed, cfg.DigestMod))
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, c := range nonintf.CheckHiStepLemma(m) {
 			if !c.Holds {

@@ -162,7 +162,8 @@ const (
 	ResL1 = iota
 	ResTLB
 	ResBP
-	numFlushables
+	// NumFlushables is the number of flushable resources.
+	NumFlushables
 )
 
 // irq is a pending device interrupt.
@@ -174,7 +175,7 @@ type irq struct {
 // State is the abstract machine state.
 type State struct {
 	// Flushables are the core-local time-shared digests.
-	Flushables [numFlushables]uint64
+	Flushables [NumFlushables]uint64
 	// LLCBanks are the per-domain LLC partitions (used when Color).
 	LLCBanks []uint64
 	// LLCShared is the unpartitioned LLC digest (used when !Color).
@@ -233,10 +234,20 @@ type PendingIRQ struct {
 // interrupt-view comparisons.
 func (s *State) PendingIRQs() []PendingIRQ {
 	out := make([]PendingIRQ, 0, len(s.irqs))
-	for _, q := range s.irqs {
-		out = append(out, PendingIRQ{FireAt: q.fireAt, Owner: q.owner})
+	for i := range s.irqs {
+		out = append(out, s.PendingIRQAt(i))
 	}
 	return out
+}
+
+// NumPendingIRQs returns the number of pending device interrupts.
+func (s *State) NumPendingIRQs() int { return len(s.irqs) }
+
+// PendingIRQAt returns the i-th pending device interrupt in programming
+// order: PendingIRQs without the copy, for checkers that compare
+// interrupt views of many states.
+func (s *State) PendingIRQAt(i int) PendingIRQ {
+	return PendingIRQ{FireAt: s.irqs[i].fireAt, Owner: s.irqs[i].owner}
 }
 
 // Clone deep-copies a state.
@@ -246,6 +257,17 @@ func (s *State) Clone() *State {
 	c.KTextBanks = append([]uint64(nil), s.KTextBanks...)
 	c.irqs = append([]irq(nil), s.irqs...)
 	return &c
+}
+
+// CopyFrom overwrites s with src in place: Clone into an existing state,
+// reusing s's bank and interrupt backing arrays, so checkers that step
+// many states from one base allocate nothing per state.
+func (s *State) CopyFrom(src *State) {
+	llc, kt, irqs := s.LLCBanks, s.KTextBanks, s.irqs
+	*s = *src
+	s.LLCBanks = append(llc[:0], src.LLCBanks...)
+	s.KTextBanks = append(kt[:0], src.KTextBanks...)
+	s.irqs = append(irqs[:0], src.irqs...)
 }
 
 // SliceLen is the abstract slice length in clock units. Each step costs
@@ -436,36 +458,4 @@ func (m *Machine) EndSlice(s *State) SwitchReport {
 	s.SliceStart = s.Clock
 	rep.Dispatch = s.Clock
 	return rep
-}
-
-// LoVisible extracts the parts of the state domain `lo` can observe
-// directly or through its own timing: its own banks, the flushable state
-// it executes over, any shared digests its accesses read, and the clock
-// phase. Two states related on these parts are ~Lo-equivalent; the
-// unwinding checker verifies every transition preserves the relation.
-func (m *Machine) LoVisible(s *State, lo int) []uint64 {
-	vis := []uint64{
-		s.Flushables[ResL1], s.Flushables[ResTLB], s.Flushables[ResBP],
-		s.KGlobal,
-		uint64(s.Cur),
-		s.Clock - s.SliceStart,
-	}
-	if m.Cfg.Color {
-		vis = append(vis, s.LLCBanks[lo])
-	} else {
-		vis = append(vis, s.LLCShared)
-	}
-	if m.Cfg.Clone {
-		vis = append(vis, s.KTextBanks[lo])
-	} else {
-		vis = append(vis, s.KTextShared)
-	}
-	// Pending IRQs visible to Lo: those that can fire during its
-	// execution.
-	for _, q := range s.irqs {
-		if !m.Cfg.PartitionIRQ || q.owner == lo {
-			vis = append(vis, q.fireAt, uint64(q.owner))
-		}
-	}
-	return vis
 }

@@ -1,6 +1,7 @@
 package absmodel
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -91,7 +92,7 @@ func TestFlushResetsFlushables(t *testing.T) {
 		t.Skip("degenerate family: digests stayed zero")
 	}
 	m.EndSlice(s)
-	if s.Flushables != [numFlushables]uint64{} {
+	if s.Flushables != [NumFlushables]uint64{} {
 		t.Fatalf("flushables not reset: %v", s.Flushables)
 	}
 }
@@ -237,5 +238,28 @@ func TestSwitchWorkWithinPadBudget(t *testing.T) {
 				t.Fatalf("seed %d digest %d: pad budget overrun (work %d)", seed, d, rep.Work)
 			}
 		}
+	}
+}
+
+func TestCopyFromReusesBuffers(t *testing.T) {
+	cfg := DefaultConfig()
+	m := NewMachine(cfg, SampleFuncs(19, cfg.DigestMod))
+	src := m.Reset()
+	m.Step(src, ActStartIO)
+	m.Step(src, Action(1))
+	dst := m.Reset()
+	m.Step(dst, ActStartIO)
+	m.Step(dst, ActStartIO) // two pending: CopyFrom must truncate
+	dst.CopyFrom(src)
+	if !reflect.DeepEqual(dst, src) {
+		t.Fatalf("copy %+v differs from source %+v", dst, src)
+	}
+	m.Step(dst, Action(0))
+	m.EndSlice(dst)
+	if reflect.DeepEqual(dst, src) || len(src.PendingIRQs()) != 1 {
+		t.Fatal("stepping the copy changed the source")
+	}
+	if n := testing.AllocsPerRun(100, func() { dst.CopyFrom(src) }); n != 0 {
+		t.Fatalf("CopyFrom into a sized state allocates %v times", n)
 	}
 }

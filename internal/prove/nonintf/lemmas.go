@@ -44,30 +44,26 @@ type CaseReport struct {
 // product space tractable while remaining exhaustive over its own range.
 const enumDomain = 3
 
-// digestAssignments enumerates [0,enumDomain)^n.
-func digestAssignments(n int) [][]uint64 {
-	var out [][]uint64
-	cur := make([]uint64, n)
-	for {
-		out = append(out, append([]uint64(nil), cur...))
-		i := 0
-		for ; i < n; i++ {
-			cur[i]++
-			if cur[i] < enumDomain {
-				break
-			}
-			cur[i] = 0
+// stateDims is the length of a digest assignment vector (see setDigests).
+const stateDims = 10
+
+// nextAssignment advances v to the next vector of [0,enumDomain)^len(v)
+// in odometer order (element 0 fastest) and reports false once every
+// vector has been visited, leaving v all zero again.
+func nextAssignment(v []uint64) bool {
+	for i := range v {
+		v[i]++
+		if v[i] < enumDomain {
+			return true
 		}
-		if i == n {
-			return out
-		}
+		v[i] = 0
 	}
+	return false
 }
 
-// buildState constructs a model state from a digest assignment vector:
+// setDigests writes a digest assignment vector into a state:
 // [flushables(3), llcHi, llcLo, llcShared, ktHi, ktLo, ktShared, kglobal].
-func buildState(m *absmodel.Machine, v []uint64) *absmodel.State {
-	s := m.Reset()
+func setDigests(s *absmodel.State, v []uint64) {
 	s.Flushables[absmodel.ResL1] = v[0]
 	s.Flushables[absmodel.ResTLB] = v[1]
 	s.Flushables[absmodel.ResBP] = v[2]
@@ -76,80 +72,70 @@ func buildState(m *absmodel.Machine, v []uint64) *absmodel.State {
 	s.KTextBanks[0], s.KTextBanks[1] = v[6], v[7]
 	s.KTextShared = v[8]
 	s.KGlobal = v[9]
-	return s
 }
 
-const stateDims = 10
-
-// persistent extracts the Lo-visible state that SURVIVES a domain switch:
-// everything except the flushables and the clock phase — unless the
-// configuration is SMT, where nothing is ever flushed between Lo's steps
-// and the "transient" state is persistent too.
-func persistent(m *absmodel.Machine, s *absmodel.State) []uint64 {
-	const lo = 1
-	var vis []uint64
-	if m.Cfg.Color {
-		vis = append(vis, s.LLCBanks[lo])
-	} else {
-		vis = append(vis, s.LLCShared)
-	}
-	if m.Cfg.Clone {
-		vis = append(vis, s.KTextBanks[lo])
-	} else {
-		vis = append(vis, s.KTextShared)
-	}
-	// Kernel global data is NOT persistent Hi-influenceable state: its
-	// access pattern is fixed, so every kernel entry — including the
-	// switch's own — deterministically resets its cache state (§5.2
-	// Case 2a). It is therefore excluded here, like the flushables.
-	if m.Cfg.SMT {
-		vis = append(vis, s.Flushables[:]...)
-	}
-	return vis
-}
-
-// loIRQView lists the pending interrupts that can fire while Lo runs.
-func loIRQView(m *absmodel.Machine, s *absmodel.State) []uint64 {
-	var vis []uint64
-	for _, q := range s.PendingIRQs() {
-		if !m.Cfg.PartitionIRQ || q.Owner == 1 {
-			vis = append(vis, q.FireAt, uint64(q.Owner))
+// loIRQViewEqual reports whether two states agree on the pending
+// interrupts that can fire while Lo runs: the same (fire time, owner)
+// sequence once interrupts masked during Lo are skipped.
+func loIRQViewEqual(m *absmodel.Machine, a, b *absmodel.State) bool {
+	visible := func(q absmodel.PendingIRQ) bool { return !m.Cfg.PartitionIRQ || q.Owner == 1 }
+	na, nb := a.NumPendingIRQs(), b.NumPendingIRQs()
+	i, j := 0, 0
+	for {
+		for i < na && !visible(a.PendingIRQAt(i)) {
+			i++
 		}
-	}
-	return vis
-}
-
-func equalU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
+		for j < nb && !visible(b.PendingIRQAt(j)) {
+			j++
+		}
+		if i == na || j == nb {
+			return i == na && j == nb
+		}
+		if a.PendingIRQAt(i) != b.PendingIRQAt(j) {
 			return false
 		}
+		i++
+		j++
 	}
-	return true
 }
 
 // CheckHiStepLemma verifies that no pair of Hi actions, from any state,
 // diverges the persistent Lo-visible state or Lo's interrupt view. The
 // returned reports split the verdict by the §5.2 case the violated
 // component belongs to.
+//
+// Each assignment's state is built once and each Hi action stepped once
+// from it into its own reused post-state; the action pairs are then
+// compared against that table.
 func CheckHiStepLemma(m *absmodel.Machine) []CaseReport {
+	return checkHiStepLemma(m, 0)
+}
+
+// checkHiStepLemma is CheckHiStepLemma with post-state k stepped by action
+// (k+rot) mod n. The checker passes rot 0; the equivalence test passes 1
+// to show that it notices a misindexed post-state table.
+func checkHiStepLemma(m *absmodel.Machine, rot int) []CaseReport {
 	acts := hiActions(m.Cfg)
 	user := CaseReport{Name: "Case1-user", Holds: true}
 	kern := CaseReport{Name: "Case2a-kernel", Holds: true}
 	irqs := CaseReport{Name: "irq-partition", Holds: true}
 	smt := CaseReport{Name: "smt-live-sharing", Holds: true}
 
-	for _, v := range digestAssignments(stateDims) {
+	base := m.Reset()
+	post := make([]*absmodel.State, len(acts))
+	for k := range post {
+		post[k] = m.Reset()
+	}
+	v := make([]uint64, stateDims)
+	for more := true; more; more = nextAssignment(v) {
+		setDigests(base, v)
+		for k, s := range post {
+			s.CopyFrom(base)
+			m.Step(s, acts[(k+rot)%len(acts)])
+		}
 		for i := 0; i < len(acts); i++ {
 			for j := i + 1; j < len(acts); j++ {
-				s1 := buildState(m, v)
-				s2 := buildState(m, v)
-				s1.Cur, s2.Cur = 0, 0
-				m.Step(s1, acts[i])
-				m.Step(s2, acts[j])
+				s1, s2 := post[i], post[j]
 				user.Checked++
 				kern.Checked++
 				irqs.Checked++
@@ -159,29 +145,21 @@ func CheckHiStepLemma(m *absmodel.Machine) []CaseReport {
 					return fmt.Sprintf("state %v, Hi actions %v vs %v", v, acts[i], acts[j])
 				}
 				// Attribute divergences per component.
-				if user.Holds {
-					a, b := cacheView(m, s1), cacheView(m, s2)
-					if !equalU64(a, b) {
-						user.Holds = false
-						user.Witness = witness()
-					}
+				if user.Holds && cacheView(m, s1) != cacheView(m, s2) {
+					user.Holds = false
+					user.Witness = witness()
 				}
-				if kern.Holds {
-					a, b := kernelView(m, s1), kernelView(m, s2)
-					if !equalU64(a, b) {
-						kern.Holds = false
-						kern.Witness = witness()
-					}
+				if kern.Holds && kernelView(m, s1) != kernelView(m, s2) {
+					kern.Holds = false
+					kern.Witness = witness()
 				}
-				if irqs.Holds && !equalU64(loIRQView(m, s1), loIRQView(m, s2)) {
+				if irqs.Holds && !loIRQViewEqual(m, s1, s2) {
 					irqs.Holds = false
 					irqs.Witness = witness()
 				}
-				if m.Cfg.SMT && smt.Holds {
-					if s1.Flushables != s2.Flushables {
-						smt.Holds = false
-						smt.Witness = witness()
-					}
+				if m.Cfg.SMT && smt.Holds && s1.Flushables != s2.Flushables {
+					smt.Holds = false
+					smt.Witness = witness()
 				}
 			}
 		}
@@ -191,28 +169,40 @@ func CheckHiStepLemma(m *absmodel.Machine) []CaseReport {
 
 // cacheView is the user-reachable cache state Lo's Case-1 steps time
 // against.
-func cacheView(m *absmodel.Machine, s *absmodel.State) []uint64 {
+func cacheView(m *absmodel.Machine, s *absmodel.State) uint64 {
 	if m.Cfg.Color {
-		return []uint64{s.LLCBanks[1]}
+		return s.LLCBanks[1]
 	}
-	return []uint64{s.LLCShared}
+	return s.LLCShared
 }
 
 // kernelView is the kernel state Lo's Case-2a syscalls time against:
-// the kernel text Lo traps into. Kernel global data is excluded — its
-// fixed access pattern is deterministically re-established by the switch
-// path itself (see persistent).
-func kernelView(m *absmodel.Machine, s *absmodel.State) []uint64 {
+// the kernel text Lo traps into. Kernel global data is excluded: its
+// fixed access pattern means every kernel entry, the switch path's own
+// included, deterministically re-establishes its cache state.
+func kernelView(m *absmodel.Machine, s *absmodel.State) uint64 {
 	if m.Cfg.Clone {
-		return []uint64{s.KTextBanks[1]}
+		return s.KTextBanks[1]
 	}
-	return []uint64{s.KTextShared}
+	return s.KTextShared
+}
+
+// switchOutcome is what the switch lemma compares about one EndSlice.
+type switchOutcome struct {
+	overran    bool
+	dispatch   uint64
+	flushables [absmodel.NumFlushables]uint64
+	kglobal    uint64
 }
 
 // CheckSwitchLemma verifies Case 2b: from any two states that agree on
 // the persistent Lo-visible parts but differ arbitrarily in transients
 // (flushable digests and accumulated clock), the switch into Lo erases
 // the difference — flushables reset and dispatch time constant.
+//
+// A switch's outcome depends only on (base, transients, jitter), so each
+// base runs EndSlice once per (transients, jitter) and the pairs are
+// compared against that table.
 func CheckSwitchLemma(m *absmodel.Machine) CaseReport {
 	rep := CaseReport{Name: "Case2b-switch", Holds: true}
 	if m.Cfg.SMT {
@@ -224,7 +214,13 @@ func CheckSwitchLemma(m *absmodel.Machine) CaseReport {
 	// Transients the switch must erase: the flushable triple, the
 	// kernel-global-data state (reset by the switch's own
 	// deterministic kernel entry), and accumulated clock jitter.
-	trans := digestAssignments(4)
+	var trans [][4]uint64
+	for tv := make([]uint64, 4); ; {
+		trans = append(trans, [4]uint64(tv))
+		if !nextAssignment(tv) {
+			break
+		}
+	}
 	jitters := []uint64{0, 3, 9, 17}
 	// A few persistent bases suffice: the lemma's quantification is
 	// over transients; persistent parts ride along unchanged.
@@ -233,31 +229,38 @@ func CheckSwitchLemma(m *absmodel.Machine) CaseReport {
 		{1, 2, 0, 1, 2, 1, 0, 2, 1, 2},
 		{2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
 	}
-	for _, base := range bases {
+	base, s := m.Reset(), m.Reset()
+	table := make([]switchOutcome, len(trans)*len(jitters))
+	outcome := func(t, w int) switchOutcome { return table[t*len(jitters)+w] }
+	for _, bv := range bases {
+		setDigests(base, bv)
+		for t, tv := range trans {
+			for w, jitter := range jitters {
+				s.CopyFrom(base)
+				copy(s.Flushables[:], tv[:3])
+				s.KGlobal = tv[3]
+				// SliceStart stays 0: clocks model accumulated slice
+				// time plus jitter.
+				s.Clock = jitter
+				r := m.EndSlice(s)
+				table[t*len(jitters)+w] = switchOutcome{r.Overran, r.Dispatch, s.Flushables, s.KGlobal}
+			}
+		}
 		for ti := 0; ti < len(trans); ti++ {
 			for tj := ti; tj < len(trans); tj++ {
-				for _, w1 := range jitters {
-					for _, w2 := range jitters {
-						s1, s2 := buildState(m, base), buildState(m, base)
-						copy(s1.Flushables[:], trans[ti][:3])
-						copy(s2.Flushables[:], trans[tj][:3])
-						s1.KGlobal, s2.KGlobal = trans[ti][3], trans[tj][3]
-						s1.Cur, s2.Cur = 0, 0
-						s1.Clock, s2.Clock = w1, w2
-						// SliceStart stays 0: clocks model accumulated
-						// slice time plus jitter.
-						r1 := m.EndSlice(s1)
-						r2 := m.EndSlice(s2)
+				for w1, j1 := range jitters {
+					for w2, j2 := range jitters {
+						o1, o2 := outcome(ti, w1), outcome(tj, w2)
 						rep.Checked++
-						if r1.Overran || r2.Overran {
+						if o1.overran || o2.overran {
 							rep.Holds = false
-							rep.Witness = fmt.Sprintf("pad overrun: transients %v/%v jitter %d/%d", trans[ti], trans[tj], w1, w2)
+							rep.Witness = fmt.Sprintf("pad overrun: transients %v/%v jitter %d/%d", trans[ti], trans[tj], j1, j2)
 							return rep
 						}
-						if r1.Dispatch != r2.Dispatch || s1.Flushables != s2.Flushables || s1.KGlobal != s2.KGlobal {
+						if o1.dispatch != o2.dispatch || o1.flushables != o2.flushables || o1.kglobal != o2.kglobal {
 							rep.Holds = false
 							rep.Witness = fmt.Sprintf("dispatch %d vs %d, flushables %v vs %v, kglobal %d vs %d (transients %v/%v, jitter %d/%d)",
-								r1.Dispatch, r2.Dispatch, s1.Flushables, s2.Flushables, s1.KGlobal, s2.KGlobal, trans[ti], trans[tj], w1, w2)
+								o1.dispatch, o2.dispatch, o1.flushables, o2.flushables, o1.kglobal, o2.kglobal, trans[ti], trans[tj], j1, j2)
 							return rep
 						}
 					}

@@ -10,9 +10,9 @@
 //     identical Lo observation trace (a proof for the bound), or a
 //     concrete counterexample pair is returned.
 //
-//  2. UNWINDING LEMMAS (CheckLemmas): the step-local conditions whose
-//     induction gives noninterference, following the paper's case
-//     analysis: Hi's actions never disturb the persistent Lo-visible
+//  2. UNWINDING LEMMAS (CheckHiStepLemma, CheckSwitchLemma): the
+//     step-local conditions whose induction gives noninterference,
+//     following the paper's case analysis: Hi's actions never disturb the persistent Lo-visible
 //     state (Cases 1 and 2a — user steps and syscalls read only
 //     partitioned or freshly-flushed state); and the domain switch erases
 //     all transient divergence — flushables reset, dispatch time padded
@@ -117,8 +117,15 @@ func loProgram(cfg absmodel.Config, step int) absmodel.Action {
 // RunTrace executes the bounded schedule with the given Hi program
 // (indexed per Hi step, wrapping) and returns Lo's observation trace.
 func RunTrace(m *absmodel.Machine, hi []absmodel.Action) (obs []Observation, overruns int) {
+	return runTrace(m, m.Reset(), hi, nil)
+}
+
+// runTrace is RunTrace from the reset state s, appending Lo's
+// observations to obs; s is consumed. Reusing s and obs across runs makes
+// a run allocation-free once both have grown.
+func runTrace(m *absmodel.Machine, s *absmodel.State, hi []absmodel.Action, obs []Observation) ([]Observation, int) {
 	cfg := m.Cfg
-	s := m.Reset()
+	overruns := 0
 	hiIdx, loIdx := 0, 0
 	if cfg.SMT {
 		// Concurrent hardware threads: interleave one Hi and one Lo
@@ -208,21 +215,27 @@ func slicePrograms(cfg absmodel.Config) [][]absmodel.Action {
 // identical Lo observation trace.
 func CheckBounded(cfg absmodel.Config, families int, extraRandom int, baseSeed uint64) Verdict {
 	v := Verdict{Proved: true, Families: families}
+	slices := slicePrograms(cfg)
+	// Every run copies the reset state into one reused state and appends
+	// to one reused observation buffer; a family's reference trace keeps
+	// a buffer of its own.
+	var ref, obs []Observation
 	for fam := 0; fam < families; fam++ {
 		seed := baseSeed + uint64(fam)*0x9E37
 		m := absmodel.NewMachine(cfg, absmodel.SampleFuncs(seed, cfg.DigestMod))
+		reset, s := m.Reset(), m.Reset()
 
-		progs := slicePrograms(cfg)
-		progs = append(progs, randomPrograms(cfg, extraRandom, seed^0xBEEF)...)
+		progs := append(slices[:len(slices):len(slices)], randomPrograms(cfg, extraRandom, seed^0xBEEF)...)
 
-		var ref []Observation
 		var refProg []absmodel.Action
 		for i, hi := range progs {
-			obs, ov := RunTrace(m, hi)
+			s.CopyFrom(reset)
+			var ov int
+			obs, ov = runTrace(m, s, hi, obs[:0])
 			v.Runs++
 			v.PadOverruns += ov
 			if i == 0 {
-				ref, refProg = obs, hi
+				ref, obs, refProg = obs, ref, hi
 				continue
 			}
 			if idx, a, b, diff := firstDivergence(ref, obs); diff {
@@ -252,13 +265,14 @@ func randomPrograms(cfg absmodel.Config, n int, seed uint64) [][]absmodel.Action
 	hiSlices := (cfg.Slices + 1) / 2
 	length := cfg.StepsPerSlice * hiSlices
 	r := newSplit(seed)
-	out := make([][]absmodel.Action, 0, n)
-	for i := 0; i < n; i++ {
-		prog := make([]absmodel.Action, length)
+	flat := make([]absmodel.Action, n*length)
+	out := make([][]absmodel.Action, n)
+	for i := range out {
+		prog := flat[i*length : (i+1)*length : (i+1)*length]
 		for j := range prog {
 			prog[j] = acts[int(r.next()%uint64(len(acts)))]
 		}
-		out = append(out, prog)
+		out[i] = prog
 	}
 	return out
 }
